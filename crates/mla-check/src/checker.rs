@@ -16,10 +16,10 @@
 //! not interleave in it — an arrangement every breakpoint description
 //! permits.
 
+use mla_core::decompose::communication_clusters;
 use mla_core::theorem::{decide, Correctability, StepRef};
 use mla_model::{Execution, Step, TxnId};
 
-use crate::decompose::communication_clusters;
 use crate::history::History;
 
 /// Why a history fails: a coherent-closure cycle, located.
@@ -125,12 +125,9 @@ impl Verdict {
 pub fn check(h: &History) -> Verdict {
     let clusters = communication_clusters(h.exec());
     let mut witness_steps: Vec<Step> = Vec::with_capacity(h.exec().len());
-    for (members, indices) in clusters.members.iter().zip(&clusters.step_indices) {
-        let projected: Vec<Step> = indices.iter().map(|&i| h.exec().steps()[i]).collect();
-        let proj = Execution::new(projected)
-            .expect("cluster projection keeps whole transactions in order");
-        let verdict = decide(&proj, h.nest(), h)
-            .expect("History validation guarantees a well-formed context");
+    for (c, proj) in clusters.executions(h.exec()).iter().enumerate() {
+        let verdict =
+            decide(proj, h.nest(), h).expect("History validation guarantees a well-formed context");
         match verdict {
             Correctability::Correctable { witness } => witness_steps.extend(witness.steps()),
             Correctability::NotCorrectable { cycle } => {
@@ -138,13 +135,13 @@ pub fn check(h: &History) -> Verdict {
                     .steps
                     .into_iter()
                     .map(|s| StepRef {
-                        global: indices[s.global],
+                        global: clusters.step_indices[c][s.global],
                         ..s
                     })
                     .collect();
                 return Verdict::Fail {
                     violation: Violation {
-                        cluster: members.clone(),
+                        cluster: clusters.members[c].clone(),
                         cycle,
                     },
                 };

@@ -15,9 +15,10 @@
 //!   drives the full check, projections, and the weak-mode search.
 //! * [`format`] — parser and writer for the `mla-history v1` text
 //!   format, with `parse(format(h)) == h` pinned by proptest.
-//! * [`decompose`] — the communication-graph decomposition: transactions
-//!   sharing no entity (even transitively) cannot constrain each other,
-//!   so each connected component is checked separately.
+//! * [`communication_clusters`] — the communication-graph decomposition
+//!   (re-exported from `mla-core`): transactions sharing no entity (even
+//!   transitively) cannot constrain each other, so each connected
+//!   component is checked separately.
 //! * [`checker`] — the polynomial saturation pass per component: grow
 //!   the coherent closure to fixpoint ([`CoherentClosure`]), then either
 //!   extend to a witness total order (`mla-core::extend`, Lemma 1) or
@@ -42,15 +43,14 @@
 #![warn(missing_docs)]
 
 pub mod checker;
-pub mod decompose;
 pub mod format;
 pub mod gen;
 pub mod history;
 pub mod weak;
 
 pub use checker::{check, Verdict, Violation};
-pub use decompose::communication_clusters;
 pub use format::{parse, write as format_history, FormatError};
 pub use gen::{generate, mutate, GenConfig, Mutation, MUTATIONS};
 pub use history::{History, HistoryError};
+pub use mla_core::decompose::communication_clusters;
 pub use weak::{check_weak, WeakVerdict};

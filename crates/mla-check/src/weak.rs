@@ -29,10 +29,10 @@
 
 use std::collections::HashMap;
 
+use mla_core::decompose::communication_clusters;
 use mla_core::theorem::is_correctable;
 use mla_model::{EntityId, Execution, Step, TxnId, Value};
 
-use crate::decompose::communication_clusters;
 use crate::history::History;
 
 /// The weak-mode verdict.

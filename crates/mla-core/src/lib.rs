@@ -14,6 +14,8 @@
 //! * [`theorem`] — Theorem 2's decision procedure for *correctability*
 //!   (§5.2), returning either a multilevel-atomic witness or a concrete
 //!   dependency cycle;
+//! * [`decompose`] — the communication-graph split of an execution into
+//!   components that share no entity, each decided on its own;
 //! * [`extend`] — the constructive combinatorial Lemma 1 (§5.1 +
 //!   Appendix): extending a coherent partial order to a coherent total
 //!   order by stage-wise SCC condensation;
@@ -59,6 +61,7 @@ pub mod atomicity;
 pub mod breakpoints;
 pub mod cert;
 pub mod closure;
+pub mod decompose;
 pub mod engine;
 pub mod extend;
 pub mod nest;

@@ -259,6 +259,49 @@ impl<'a> ExecContext<'a> {
         })
     }
 
+    /// Splits the context into one per part: `parts` are disjoint,
+    /// ascending step-index lists that each cover whole transactions,
+    /// and `subs[c]` is this context's execution restricted to
+    /// `parts[c]`. Breakpoint descriptions move into the part holding
+    /// their transaction rather than being asked of the specification
+    /// again: the transaction performed the same steps.
+    pub fn split<'b>(self, subs: &'b [Execution], parts: &[Vec<usize>]) -> Vec<ExecContext<'b>>
+    where
+        'a: 'b,
+    {
+        let mut bds: Vec<Option<BreakpointDescription>> = self.bds.into_iter().map(Some).collect();
+        // Parent local txn -> local txn in its part; parts are disjoint,
+        // so one map serves them all.
+        let mut part_local = vec![usize::MAX; self.txns.len()];
+        subs.iter()
+            .zip(parts)
+            .map(|(sub, indices)| {
+                let mut ctx = ExecContext {
+                    exec: sub,
+                    nest: self.nest,
+                    txns: Vec::new(),
+                    step_txn: Vec::with_capacity(indices.len()),
+                    step_seq: Vec::with_capacity(indices.len()),
+                    txn_steps: Vec::new(),
+                    bds: Vec::new(),
+                };
+                for (j, &i) in indices.iter().enumerate() {
+                    let lt = self.step_txn[i];
+                    if part_local[lt] == usize::MAX {
+                        part_local[lt] = ctx.txns.len();
+                        ctx.txns.push(self.txns[lt]);
+                        ctx.txn_steps.push(Vec::new());
+                        ctx.bds.push(bds[lt].take().expect("parts are disjoint"));
+                    }
+                    ctx.step_txn.push(part_local[lt]);
+                    ctx.step_seq.push(self.step_seq[i]);
+                    ctx.txn_steps[part_local[lt]].push(j);
+                }
+                ctx
+            })
+            .collect()
+    }
+
     /// The underlying execution.
     pub fn exec(&self) -> &Execution {
         self.exec

@@ -15,6 +15,7 @@
 use mla_model::{Execution, TxnId};
 
 use crate::closure::CoherentClosure;
+use crate::decompose::communication_clusters;
 use crate::extend::witness_execution;
 use crate::nest::Nest;
 use crate::spec::{BreakpointSpecification, ContextError, ExecContext};
@@ -112,15 +113,30 @@ pub fn decide(
 }
 
 /// Boolean form of [`decide`], skipping witness construction: just the
-/// acyclicity test. This is the hot path the schedulers and experiment
-/// sweeps use.
+/// acyclicity test. This is the hot path the schedulers, experiment
+/// sweeps and service audits use.
+///
+/// The closure is computed per communication-graph component
+/// ([`communication_clusters`]): components share no entity, so the
+/// full closure is their disjoint union and is acyclic iff each
+/// component's is. The context is built over the whole execution first,
+/// so errors are those of [`ExecContext::new`]. A single component runs
+/// on the original execution, exactly as [`decide`] does.
 pub fn is_correctable(
     exec: &Execution,
     nest: &Nest,
     spec: &dyn BreakpointSpecification,
 ) -> Result<bool, ContextError> {
     let ctx = ExecContext::new(exec, nest, spec)?;
-    Ok(CoherentClosure::compute(&ctx).is_partial_order())
+    let clusters = communication_clusters(exec);
+    if clusters.len() <= 1 {
+        return Ok(CoherentClosure::compute(&ctx).is_partial_order());
+    }
+    let subs = clusters.executions(exec);
+    Ok(ctx
+        .split(&subs, &clusters.step_indices)
+        .iter()
+        .all(|sub| CoherentClosure::compute(sub).is_partial_order()))
 }
 
 #[cfg(test)]
@@ -178,6 +194,31 @@ mod tests {
                 assert!(!cycle.to_string().is_empty());
             }
         }
+    }
+
+    #[test]
+    fn decomposed_verdicts_and_errors_match_the_whole_execution() {
+        // Components {t0, t1} on x0/x1 (a crossed weave) and {t2} on x2.
+        let e = exec(&[(0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1), (2, 0, 2)]);
+        let spec = AtomicSpec { k: 2 };
+        assert_eq!(is_correctable(&e, &Nest::flat(3), &spec), Ok(false));
+        // Validation covers every component before any closure runs, so
+        // the cyclic first component does not hide the second's error.
+        assert_eq!(
+            is_correctable(&e, &Nest::flat(2), &spec),
+            Err(ContextError::TxnOutsideNest {
+                txn: TxnId(2),
+                nest_txns: 2
+            })
+        );
+        assert_eq!(
+            is_correctable(&e, &Nest::flat(3), &AtomicSpec { k: 3 }),
+            Err(ContextError::DepthMismatch {
+                txn: TxnId(0),
+                nest_k: 2,
+                bd_k: 3
+            })
+        );
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! 3. Lemma 1's witness is equivalent and multilevel atomic;
 //! 4. at k = 2 everything collapses to classical serializability;
 //! 5. *monotonicity*: adding breakpoints never destroys correctability
-//!    (coarser condition-(b) lifts produce a sub-relation).
+//!    (coarser condition-(b) lifts produce a sub-relation);
+//! 6. deciding Theorem 2 per communication-graph component gives the
+//!    monolithic closure's verdict.
 
 #![allow(clippy::needless_range_loop)] // dense-index pairwise comparisons
 
 use mla_core::breakpoints::BreakpointDescription;
 use mla_core::closure::{coherent_closure_exact, exact_is_partial_order, CoherentClosure};
+use mla_core::decompose::communication_clusters;
 use mla_core::extend::witness_execution;
 use mla_core::nest::Nest;
 use mla_core::serializability::is_serializable;
@@ -102,6 +105,124 @@ fn nest_for(re: &RandomExec, k: usize, classes: &[u8]) -> Nest {
         })
         .collect();
     Nest::new(k, paths).unwrap()
+}
+
+/// Transactions per entity range in [`clustered_strategy`].
+const RANGE_TXNS: u32 = 2;
+/// Entities per range in [`clustered_strategy`].
+const RANGE_ENTITIES: u32 = 3;
+
+/// An execution over 2–4 disjoint entity ranges, each with its own
+/// [`RANGE_TXNS`] transactions, so every non-empty range is at least one
+/// communication-graph component. When the flag is set, two extra
+/// transactions (the ids after the random ones) are woven crosswise
+/// over two entities of one range: `a0 b0 b1 a1`, a cycle once both are
+/// atomic. `txns` counts only the random transactions.
+fn clustered_strategy() -> impl Strategy<Value = (RandomExec, bool)> {
+    (2..=4u32)
+        .prop_flat_map(|ranges| {
+            (
+                Just(ranges),
+                proptest::collection::vec((0..ranges, 0..RANGE_TXNS, 0..RANGE_ENTITIES), 2..=14),
+                any::<bool>(),
+                0..ranges,
+                proptest::collection::vec(0usize..16, 4),
+            )
+        })
+        .prop_map(|(ranges, picks, plant, range, mut at)| {
+            let txns = ranges * RANGE_TXNS;
+            let mut order: Vec<(u32, u32)> = picks
+                .into_iter()
+                .map(|(r, t, e)| (r * RANGE_TXNS + t, r * RANGE_ENTITIES + e))
+                .collect();
+            if plant {
+                let (a, b) = (txns, txns + 1);
+                let (x, y) = (range * RANGE_ENTITIES, range * RANGE_ENTITIES + 1);
+                at.sort_unstable();
+                for (i, (pos, pick)) in at
+                    .into_iter()
+                    .zip([(a, x), (b, x), (b, y), (a, y)])
+                    .enumerate()
+                {
+                    order.insert((pos + i).min(order.len()), pick);
+                }
+            }
+            let mut next_seq = vec![0u32; txns as usize + 2];
+            let steps = order
+                .into_iter()
+                .map(|(t, e)| {
+                    let seq = next_seq[t as usize];
+                    next_seq[t as usize] += 1;
+                    Step {
+                        txn: TxnId(t),
+                        seq,
+                        entity: EntityId(e),
+                        observed: 0,
+                        wrote: 0,
+                    }
+                })
+                .collect();
+            (
+                RandomExec {
+                    txns: txns as usize,
+                    steps,
+                },
+                plant,
+            )
+        })
+}
+
+/// Property 6, sampled with a tally: the decomposed `is_correctable`
+/// equals the monolithic closure on every input, and the sample must
+/// contain both verdicts and multi-component inputs of each verdict.
+#[test]
+fn decomposed_is_correctable_equals_monolithic_closure() {
+    let runner = proptest::TestRunner::new(
+        ProptestConfig::with_cases(160),
+        "decomposed_is_correctable_equals_monolithic_closure",
+    );
+    let strategy = (
+        clustered_strategy(),
+        2usize..4,
+        proptest::collection::vec(any::<bool>(), 0..64),
+        proptest::collection::vec(any::<u8>(), 0..16),
+    );
+    let (mut correctable, mut not, mut multi_correctable, mut multi_not) = (0, 0, 0, 0);
+    for case in 0..runner.cases() {
+        let ((re, planted), k, picks, classes) = strategy.generate(&mut runner.rng_for(case));
+        let exec = Execution::new(re.steps.clone()).unwrap();
+        // The planted pair keeps FixedSpec's default: atomic.
+        let spec = spec_for(&re, k, &picks);
+        let all = RandomExec {
+            txns: re.txns + 2,
+            steps: Vec::new(),
+        };
+        let nest = nest_for(&all, k, &classes);
+        let decomposed = is_correctable(&exec, &nest, &spec).unwrap();
+        let monolithic = CoherentClosure::compute(&ExecContext::new(&exec, &nest, &spec).unwrap())
+            .is_partial_order();
+        assert_eq!(
+            decomposed, monolithic,
+            "case {case}: verdicts differ on {exec}"
+        );
+        assert!(
+            !(planted && decomposed),
+            "case {case}: planted weave passed on {exec}"
+        );
+        let multi = communication_clusters(&exec).len() > 1;
+        if decomposed {
+            correctable += 1;
+            multi_correctable += usize::from(multi);
+        } else {
+            not += 1;
+            multi_not += usize::from(multi);
+        }
+    }
+    assert!(correctable > 0 && not > 0, "need both verdicts sampled");
+    assert!(
+        multi_correctable > 0 && multi_not > 0,
+        "need multi-component inputs of both verdicts"
+    );
 }
 
 proptest! {

@@ -47,6 +47,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use mla_core::decompose::UnionFind;
 use mla_core::engine::{ClosureEngine, RelationSignature};
 use mla_core::nest::Nest;
 use mla_core::spec::BreakpointSpecification;
@@ -390,42 +391,9 @@ pub fn trace_classes<S: BreakpointSpecification + Clone>(input: &BoundedNest<S>)
     }
     TraceCensus {
         schedules: schedules.len(),
-        classes: uf.classes(),
+        classes: (0..schedules.len()).filter(|&i| uf.find(i) == i).count(),
         probes,
         cache_hits,
-    }
-}
-
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-
-    fn classes(&mut self) -> usize {
-        (0..self.parent.len())
-            .filter(|&i| self.find(i) == i)
-            .count()
     }
 }
 

@@ -2,10 +2,16 @@
 //!
 //! A drained run's history is a ticket-ordered [`Execution`] of the
 //! committed transactions; Theorem 2's offline decision procedure
-//! applies to it directly. For long runs, auditing the whole history is
-//! quadratic-ish in window size, so the audit also supports *windowed
-//! sampling*: slice the history, project each slice onto the
-//! transactions **fully contained** in it, and check each projection.
+//! applies to it directly. `is_correctable` decides each communication
+//! component (transactions joined by shared entities) on its own, so a
+//! pass costs the sum over components of steps × transactions ×
+//! fixpoint rounds: linear in the number of components, quadratic-ish
+//! only in the size of the largest one. Sessions on private entities
+//! stay cheap however long the history; one contended ring is a single
+//! component, quadratic-ish in its length. For long runs the audit also
+//! supports *windowed sampling*: slice the history, project each slice
+//! onto the transactions **fully contained** in it, and check each
+//! projection.
 //!
 //! Projection is sound: the coherent closure of a projected suborder is
 //! contained in the projection of the closure (dropping whole
@@ -15,8 +21,6 @@
 //! deliberately *not* complete (a cross-window cycle can escape
 //! sampling); the tier-1 differential test audits full histories, the
 //! smoke job samples.
-
-use std::collections::HashSet;
 
 use mla_core::nest::Nest;
 use mla_core::theorem::is_correctable;
@@ -80,17 +84,12 @@ pub fn audit_windowed(
     for (c, chunk) in history.chunks(window).enumerate() {
         let lo = c * window;
         let hi = lo + chunk.len();
-        let contained: HashSet<TxnId> = chunk
-            .iter()
-            .map(|s| s.txn)
-            .filter(|t| {
-                let &(first, last) = &spans[t];
-                first >= lo && last < hi
-            })
-            .collect();
         let projected: Vec<Step> = chunk
             .iter()
-            .filter(|s| contained.contains(&s.txn))
+            .filter(|s| {
+                let (first, last) = spans[&s.txn];
+                first >= lo && last < hi
+            })
             .copied()
             .collect();
         if projected.is_empty() {

@@ -11,6 +11,8 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use multilevel_atomicity::core::decompose::communication_clusters;
+use multilevel_atomicity::model::{Execution, Step, TxnId};
 use multilevel_atomicity::serve::{
     audit_full, audit_windowed, contended_load, partitioned_load, run, SchedKind, ServeConfig,
     ServeLoad,
@@ -119,4 +121,79 @@ fn sharded_admission_histories_still_pass_the_oracle() {
     assert_eq!(report.committed, 24);
     let audit = audit_full(&report.history, &load.workload.nest, &load.workload.spec());
     assert!(audit.passed());
+}
+
+#[test]
+fn windowed_audit_catches_a_violation_planted_in_one_window() {
+    // Sessions of the partitioned load share no entity, so each audit
+    // window splits into several communication components and the audit
+    // decides them one by one. A crossed weave planted in one window
+    // must still be caught there, and only there.
+    let load = partitioned_load(8, 50);
+    let (nest, spec) = (&load.workload.nest, load.workload.spec());
+    let report = run(&load, &config(SchedKind::Prevent));
+    assert!(report.clean);
+    let window = 64;
+    let before = audit_windowed(&report.history, nest, &spec, window);
+    assert!(before.passed(), "the drained history audits clean");
+
+    // Positions of each transaction's two steps.
+    let mut at: HashMap<TxnId, Vec<usize>> = HashMap::new();
+    for (i, s) in report.history.iter().enumerate() {
+        at.entry(s.txn).or_default().push(i);
+    }
+    let session = |t: TxnId| t.0 / 50;
+    // Two transactions wholly inside one window. Within a session the
+    // level-2 breakpoint licenses any weave, so the pair comes from two
+    // sessions, which are atomic to each other at level 1.
+    let (w, a, b) = (0..report.history.len() / window)
+        .find_map(|w| {
+            let inside: Vec<TxnId> = report.history[w * window..(w + 1) * window]
+                .iter()
+                .map(|s| s.txn)
+                .filter(|t| at[t].iter().all(|&i| i / window == w))
+                .collect();
+            let a = *inside.first()?;
+            let b = *inside.iter().find(|&&t| session(t) != session(a))?;
+            Some((w, a, b))
+        })
+        .expect("some window holds whole transactions of two sessions");
+
+    // Rewrite the pair's four slots as a0 b0 b1 a1 with b on a's
+    // entities: a before b on the first, b before a on the second.
+    let mut history = report.history.clone();
+    let mut slots: Vec<usize> = at[&a].iter().chain(&at[&b]).copied().collect();
+    slots.sort_unstable();
+    let (a0, a1) = (history[at[&a][0]], history[at[&a][1]]);
+    let (b0, b1) = (history[at[&b][0]], history[at[&b][1]]);
+    let woven = [
+        a0,
+        Step {
+            entity: a0.entity,
+            ..b0
+        },
+        Step {
+            entity: a1.entity,
+            ..b1
+        },
+        a1,
+    ];
+    for (slot, step) in slots.into_iter().zip(woven) {
+        history[slot] = step;
+    }
+    let planted: Vec<Step> = history[w * window..(w + 1) * window]
+        .iter()
+        .filter(|s| at[&s.txn].iter().all(|&i| i / window == w))
+        .copied()
+        .collect();
+    let planted = Execution::new(planted).unwrap();
+    assert!(
+        communication_clusters(&planted).len() > 1,
+        "the planted window is decided component by component"
+    );
+    assert!(!audit_full(&history, nest, &spec).passed());
+    let after = audit_windowed(&history, nest, &spec, window);
+    assert_eq!(after.violations, 1, "exactly the planted window fails");
+    assert_eq!(after.windows, before.windows);
+    assert_eq!(after.steps_covered, before.steps_covered);
 }
