@@ -68,41 +68,34 @@ impl TxnProfile {
 
     /// The transaction's may-footprint, sorted and deduplicated.
     pub fn footprint(&self) -> Vec<EntityId> {
-        let mut fp = match self {
-            TxnProfile::Exact { steps, .. } => steps.clone(),
-            TxnProfile::Blob { entities, .. } => entities.clone(),
-        };
+        let mut fp = self.slot_entities().to_vec();
         fp.sort_unstable();
         fp.dedup();
         fp
     }
 
-    /// Number of access slots (exact: one per step; blob: one per
-    /// footprint entity).
-    pub fn slot_count(&self) -> usize {
+    /// The entity behind each access slot (exact: one slot per step;
+    /// blob: one per footprint entity).
+    pub fn slot_entities(&self) -> &[EntityId] {
         match self {
-            TxnProfile::Exact { steps, .. } => steps.len(),
-            TxnProfile::Blob { entities, .. } => entities.len(),
+            TxnProfile::Exact { steps, .. } => steps,
+            TxnProfile::Blob { entities, .. } => entities,
         }
+    }
+
+    /// Number of access slots.
+    pub fn slot_count(&self) -> usize {
+        self.slot_entities().len()
     }
 
     /// The slots (step positions or footprint indices) accessing
     /// `entity`.
     pub fn slots_on(&self, entity: EntityId) -> Vec<usize> {
-        match self {
-            TxnProfile::Exact { steps, .. } => steps
-                .iter()
-                .enumerate()
-                .filter(|(_, &e)| e == entity)
-                .map(|(i, _)| i)
-                .collect(),
-            TxnProfile::Blob { entities, .. } => entities
-                .iter()
-                .enumerate()
-                .filter(|(_, &e)| e == entity)
-                .map(|(i, _)| i)
-                .collect(),
-        }
+        let slots = self.slot_entities().iter().enumerate();
+        slots
+            .filter(|(_, &e)| e == entity)
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// The last slot of the level-`level` segment containing `slot`: the
